@@ -1,6 +1,7 @@
 #include "core/regular_reader.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <iterator>
 #include <utility>
 
@@ -8,6 +9,13 @@
 #include "common/graph.hpp"
 
 namespace rr::core {
+namespace {
+
+constexpr std::uint64_t bit(std::size_t i) { return std::uint64_t{1} << i; }
+
+constexpr std::uint32_t kNone = ~std::uint32_t{0};  ///< no candidate id
+
+}  // namespace
 
 RegularReader::RegularReader(const Resilience& res, const Topology& topo,
                              int reader_index, bool optimized)
@@ -18,18 +26,20 @@ RegularReader::RegularReader(const Resilience& res, const Topology& topo,
   RR_ASSERT(res.valid());
   RR_ASSERT(reader_index >= 0 && reader_index < res.num_readers);
   RR_ASSERT_MSG(res.num_objects <= 64,
-                "conflict-quorum search uses 64-bit vertex masks");
+                "replied sets and conflict quorums are 64-bit object masks");
   mirror_.resize(static_cast<std::size_t>(res.num_objects));
   have_.assign(static_cast<std::size_t>(res.num_objects), 0);
+  misplaced_.assign(static_cast<std::size_t>(res.num_objects), 0);
 }
 
 void RegularReader::read(net::Context& ctx, ReadCallback cb) {
   RR_ASSERT_MSG(phase_ == Phase::Idle,
                 "READ invoked while previous READ in progress");
   // Figure 6 lines 7-10.
-  replied1_.assign(static_cast<std::size_t>(res_.num_objects), 0);
-  replied2_.assign(static_cast<std::size_t>(res_.num_objects), 0);
-  candidates_.clear();
+  replied1_ = 0;
+  replied2_ = 0;
+  live_.clear();
+  ++reads_;
   cb_ = std::move(cb);
   invoked_at_ = ctx.now();
   diag_ = Diag{};
@@ -50,6 +60,13 @@ void RegularReader::on_message(net::Context& ctx, ProcessId from,
   }
 }
 
+std::vector<WTuple> RegularReader::candidates() const {
+  std::vector<WTuple> out;
+  out.reserve(live_.size());
+  for (const auto id : live_) out.push_back(store_[id].tuple);
+  return out;
+}
+
 void RegularReader::handle_ack(net::Context& ctx, ProcessId from,
                                const wire::HistReadAckMsg& m) {
   if (!topo_.is_object(from)) return;
@@ -57,9 +74,9 @@ void RegularReader::handle_ack(net::Context& ctx, ProcessId from,
   // Figure 6 lines 17-25: one reply per object per round (the tsr[i] guard),
   // pattern-matched against the reader's current timestamp.
   if (phase_ == Phase::Round1 && m.round == 1 && m.tsr == tsr_first_round_ &&
-      !replied1_[i]) {
+      (replied1_ & bit(i)) == 0) {
     ++diag_.round1_acks;
-    replied1_[i] = 1;
+    replied1_ |= bit(i);
     merge_delta(i, m);
     add_candidates_from_mirror(i);  // Figure 6 line 20
     sweep_removals();
@@ -68,9 +85,9 @@ void RegularReader::handle_ack(net::Context& ctx, ProcessId from,
       try_finish(ctx);
     }
   } else if (phase_ == Phase::Round2 && m.round == 2 &&
-             m.tsr == tsr_first_round_ + 1 && !replied2_[i]) {
+             m.tsr == tsr_first_round_ + 1 && (replied2_ & bit(i)) == 0) {
     ++diag_.round2_acks;
-    replied2_[i] = 1;
+    replied2_ |= bit(i);
     merge_delta(i, m);
     sweep_removals();
     try_finish(ctx);
@@ -89,19 +106,135 @@ void RegularReader::handle_ack(net::Context& ctx, ProcessId from,
 
 void RegularReader::merge_delta(std::size_t i, const wire::HistReadAckMsg& m) {
   diag_.history_slots_received += m.history.size();
+  auto& mir = mirror_[i];
   if (m.resync != 0) {
     // The object's hard cap evicted slots below our floor: the shipped
     // suffix starts at m.since > floor, so our mirror can no longer be
     // extended gap-free. Rebuild it from the flagged suffix.
     ++diag_.resyncs;
-    mirror_[i].clear();
+    for (const auto& slot : mir) drop_slot(i, slot.first);
+    misplaced_[i] = 0;
+    mir.clear();
   }
   // Monotone union: an engaged pw/w in the mirror is never regressed to nil
   // by a reordered or replayed delta, so a slot can never flip from vouching
   // back to denying.
-  mirror_[i].merge(m.history);
-  if (!mirror_[i].empty()) {
-    have_[i] = std::prev(mirror_[i].end())->first;
+  for (const auto& [ts, src] : m.history) {
+    if (src.w.has_value()) {  // the slot's w is replaced by src's
+      const auto old = mir.find(ts);
+      const bool was = old != mir.end() && old->second.w.has_value() &&
+                       old->second.w->tsval.ts != ts;
+      const bool now = src.w->tsval.ts != ts;
+      if (now && !was) ++misplaced_[i];
+      if (was && !now) --misplaced_[i];
+    }
+    mir.merge_slot(ts, src);
+    refresh_slot(i, ts);
+  }
+  if (!mir.empty()) {
+    have_[i] = std::prev(mir.end())->first;
+  }
+}
+
+std::pair<std::size_t, std::size_t> RegularReader::at_ts(Ts ts) const {
+  const auto [lo, hi] = std::equal_range(
+      by_ts_.begin(), by_ts_.end(), std::pair<Ts, std::uint32_t>{ts, 0},
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  return {static_cast<std::size_t>(lo - by_ts_.begin()),
+          static_cast<std::size_t>(hi - by_ts_.begin())};
+}
+
+std::uint32_t RegularReader::find_candidate(const WTuple& w) const {
+  const auto [lo, hi] = at_ts(w.tsval.ts);
+  for (auto p = lo; p < hi; ++p) {
+    if (store_[by_ts_[p].second].tuple == w) return by_ts_[p].second;
+  }
+  return kNone;
+}
+
+std::uint32_t RegularReader::make_candidate(const WTuple& w) {
+  std::uint32_t id = 0;
+  if (!free_.empty()) {
+    id = free_.back();
+    free_.pop_back();
+  } else {
+    id = static_cast<std::uint32_t>(store_.size());
+    store_.emplace_back();
+  }
+  auto& c = store_[id];
+  c.tuple = w;  // a recycled id reuses the old tuple's capacity
+  c.w_at = 0;
+  c.pw_at = 0;
+  c.read = 0;
+  c.gc_queued = false;
+  c.accusation = 0;
+  const auto j = static_cast<std::size_t>(reader_index_);
+  for (const auto& row : w.tsrarray) {
+    if (row.has_value() && j < row->size()) {
+      c.accusation = std::max(c.accusation, (*row)[j]);
+    }
+  }
+  const Ts ts = w.tsval.ts;
+  const auto at = std::upper_bound(
+      by_ts_.begin(), by_ts_.end(), ts,
+      [](Ts t, const auto& e) { return t < e.first; });
+  by_ts_.insert(at, {ts, id});
+  for (std::size_t i = 0; i < mirror_.size(); ++i) update_bits(id, i);
+  return id;
+}
+
+void RegularReader::update_bits(std::uint32_t id, std::size_t i) {
+  const WTuple& c = store_[id].tuple;
+  const auto& h = mirror_[i];
+  const auto it = h.find(c.tsval.ts);
+  if (it == h.end()) {
+    set_bits(id, i, false, false);
+    return;
+  }
+  const auto& e = it->second;
+  set_bits(id, i, e.w.has_value() && *e.w == c,
+           e.pw.has_value() && *e.pw == c.tsval);
+}
+
+void RegularReader::refresh_slot(std::size_t i, Ts ts) {
+  const auto [lo, hi] = at_ts(ts);
+  for (auto p = lo; p < hi; ++p) update_bits(by_ts_[p].second, i);
+}
+
+void RegularReader::drop_slot(std::size_t i, Ts ts) {
+  const auto [lo, hi] = at_ts(ts);
+  for (auto p = lo; p < hi; ++p) set_bits(by_ts_[p].second, i, false, false);
+}
+
+void RegularReader::set_bits(std::uint32_t id, std::size_t i, bool w,
+                             bool pw) {
+  auto& c = store_[id];
+  c.w_at = w ? (c.w_at | bit(i)) : (c.w_at & ~bit(i));
+  c.pw_at = pw ? (c.pw_at | bit(i)) : (c.pw_at & ~bit(i));
+  if (c.w_at == 0 && !c.gc_queued) {
+    c.gc_queued = true;
+    gc_.push_back(id);
+  }
+}
+
+void RegularReader::collect_garbage() {
+  // Runs between reads only, so no live_ entry is ever freed under a read.
+  // Every id in gc_ is in use: only set_bits queues, and only on stored ids.
+  bool freed = false;
+  for (const auto id : gc_) {
+    auto& c = store_[id];
+    c.gc_queued = false;
+    if (c.w_at != 0) continue;
+    free_.push_back(id);
+    const auto [lo, hi] = at_ts(c.tuple.tsval.ts);
+    for (auto p = lo; p < hi; ++p) {
+      if (by_ts_[p].second == id) by_ts_[p].second = kNone;
+    }
+    freed = true;
+  }
+  gc_.clear();
+  if (freed) {
+    std::erase_if(by_ts_, [](const auto& e) { return e.second == kNone; });
   }
 }
 
@@ -110,127 +243,111 @@ void RegularReader::add_candidates_from_mirror(std::size_t i) {
   // cache_ts is exactly the history a full Section 5.1 suffix reply would
   // have carried; the delta only shipped the part we lacked.
   const auto& h = mirror_[i];
-  for (auto it = h.lower_bound(request_cache_ts_); it != h.end(); ++it) {
+  auto it = h.lower_bound(request_cache_ts_);
+  if (it == h.end()) return;
+  // The mirror and by_ts_ are both sorted: walk them together.
+  std::size_t p = at_ts(it->first).first;
+  for (; it != h.end(); ++it) {
     if (!it->second.w.has_value()) continue;
     const WTuple& w = *it->second.w;
-    const bool known = std::any_of(
-        candidates_.begin(), candidates_.end(),
-        [&](const Candidate& c) { return c.tuple == w; });
-    if (!known) {
-      const auto j = static_cast<std::size_t>(reader_index_);
-      bool accuses = false;
-      for (const auto& row : w.tsrarray) {
-        if (row.has_value() && j < row->size() && (*row)[j] > tsr_first_round_) {
-          accuses = true;
+    std::uint32_t id = kNone;
+    if (w.tsval.ts == it->first) {
+      // A stored tuple equal to this slot's w is the one at its timestamp
+      // with object i in w_at: no tuple comparison needed.
+      while (p < by_ts_.size() && by_ts_[p].first < it->first) ++p;
+      for (auto q = p; q < by_ts_.size() && by_ts_[q].first == it->first;
+           ++q) {
+        if ((store_[by_ts_[q].second].w_at & bit(i)) != 0) {
+          id = by_ts_[q].second;
           break;
         }
       }
-      candidates_.push_back(Candidate{w, false, accuses});
+      if (id == kNone) id = make_candidate(w);  // inserted at or after p
+    } else {
+      id = find_candidate(w);
+      if (id == kNone) {
+        id = make_candidate(w);  // may land before p
+        p = at_ts(it->first).first;
+      }
+    }
+    auto& c = store_[id];
+    if (c.read != reads_) {
+      c.read = reads_;
+      live_.push_back(id);
       ++diag_.candidates_added;
     }
   }
 }
 
-bool RegularReader::replied(int rnd, std::size_t i) const {
-  return (rnd == 1 ? replied1_[i] : replied2_[i]) != 0;
-}
-
-bool RegularReader::object_vouches(std::size_t i, const WTuple& c) const {
-  // Figure 6 line 3: a replied object's history confirms slot c.ts with c's
-  // pair (pw) or c itself (w). The mirror stands in for the replied
-  // histories of both rounds.
-  if (!replied(1, i) && !replied(2, i)) return false;
-  const auto& h = mirror_[i];
-  const auto it = h.find(c.tsval.ts);
-  if (it == h.end()) return false;
-  return (it->second.pw.has_value() && *it->second.pw == c.tsval) ||
-         (it->second.w.has_value() && *it->second.w == c);
-}
-
-bool RegularReader::object_denies(std::size_t i, const WTuple& c) const {
-  // Figure 6 line 2: a replied object's history has no w entry for slot
-  // c.ts, or a mismatching pw or w. A missing slot reads as <nil, nil>.
-  if (!replied(1, i) && !replied(2, i)) return false;
-  const auto& h = mirror_[i];
-  const auto it = h.find(c.tsval.ts);
-  if (it == h.end()) return true;
-  const auto& e = it->second;
-  return !e.w.has_value() || !(*e.w == c) || !e.pw.has_value() ||
-         !(*e.pw == c.tsval);
-}
-
-bool RegularReader::is_safe(const WTuple& c) const {
-  int vouchers = 0;
-  for (std::size_t i = 0; i < mirror_.size(); ++i) {
-    if (object_vouches(i, c)) ++vouchers;
-  }
-  return vouchers >= res_.b + 1;
-}
-
-bool RegularReader::is_invalid(const WTuple& c) const {
-  int deniers = 0;
-  for (std::size_t i = 0; i < mirror_.size(); ++i) {
-    if (object_denies(i, c)) ++deniers;
-  }
-  return deniers >= res_.t + res_.b + 1;
-}
-
 void RegularReader::sweep_removals() {
-  // Figure 6 lines 26-27.
-  for (auto& cand : candidates_) {
-    if (!cand.removed && is_invalid(cand.tuple)) {
-      cand.removed = true;
-      ++diag_.candidates_removed;
-    }
-  }
+  // Figure 6 lines 26-27: invalid(c) iff >= t+b+1 replied objects deny it.
+  const auto r = replied();
+  const int deny_quorum = res_.t + res_.b + 1;
+  std::erase_if(live_, [&](std::uint32_t id) {
+    const auto& c = store_[id];
+    if (std::popcount(r & ~(c.w_at & c.pw_at)) < deny_quorum) return false;
+    ++diag_.candidates_removed;
+    return true;
+  });
 }
 
-bool RegularReader::conflict(std::size_t i, std::size_t k) const {
-  // Figure 6 line 1: object k's round-1 history contains a candidate tuple
-  // accusing object i of a reader timestamp above tsrFR.
-  const auto j = static_cast<std::size_t>(reader_index_);
-  if (!replied(1, k)) return false;
-  const auto& h = mirror_[k];
-  for (const auto& cand : candidates_) {
-    if (cand.removed) continue;
-    for (const auto& [ts, entry] : h) {
-      if (!entry.w.has_value() || !(*entry.w == cand.tuple)) continue;
-      const auto& arr = cand.tuple.tsrarray;
-      if (i >= arr.size() || !arr[i].has_value()) continue;
-      const auto& row = *arr[i];
-      if (j < row.size() && row[j] > tsr_first_round_) return true;
-    }
-  }
-  return false;
+bool RegularReader::holds_anywhere(std::size_t k, std::uint32_t id) const {
+  // Whether object k's mirror has the candidate as the w of any slot. Only
+  // the slot at its own timestamp can (w_at), unless k shipped misplaced
+  // tuples.
+  const auto& c = store_[id];
+  if ((c.w_at & bit(k)) != 0) return true;
+  if (misplaced_[k] == 0) return false;
+  return std::any_of(mirror_[k].begin(), mirror_[k].end(), [&](const auto& e) {
+    return e.second.w.has_value() && *e.second.w == c.tuple;
+  });
 }
 
 bool RegularReader::round1_complete() const {
-  std::uint64_t responders = 0;
-  int count = 0;
-  for (std::size_t i = 0; i < replied1_.size(); ++i) {
-    if (replied1_[i] != 0) {
-      responders |= 1ULL << i;
-      ++count;
-    }
-  }
-  if (count < res_.quorum()) return false;
+  const std::uint64_t responders = replied1_;
+  if (std::popcount(responders) < res_.quorum()) return false;
 
   // No candidate carries an accusing tsr entry for this reader: no conflict
   // edge can exist, so any quorum of responders is independent.
-  const bool any_accuser = std::any_of(
-      candidates_.begin(), candidates_.end(),
-      [](const Candidate& c) { return !c.removed && c.accuses; });
+  const bool any_accuser =
+      std::any_of(live_.begin(), live_.end(), [&](std::uint32_t id) {
+        return store_[id].accusation > tsr_first_round_;
+      });
   if (!any_accuser) return true;
 
-  std::vector<std::uint64_t> adj(replied1_.size(), 0);
+  // Figure 6 line 1: conflict(i, k) iff object k's round-1 history holds a
+  // live candidate accusing object i of a reader timestamp above tsrFR.
+  // accused[k] collects those i for every responder k.
+  const auto j = static_cast<std::size_t>(reader_index_);
+  const std::size_t n = mirror_.size();
+  std::vector<std::uint64_t> accused(n, 0);
+  for (const auto id : live_) {
+    const WTuple& c = store_[id].tuple;
+    if (store_[id].accusation <= tsr_first_round_) continue;
+    std::uint64_t targets = 0;
+    for (std::size_t i = 0; i < n && i < c.tsrarray.size(); ++i) {
+      const auto& row = c.tsrarray[i];
+      if (row.has_value() && j < row->size() &&
+          (*row)[j] > tsr_first_round_) {
+        targets |= bit(i);
+      }
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      if ((responders & bit(k)) != 0 && holds_anywhere(k, id)) {
+        accused[k] |= targets;
+      }
+    }
+  }
+
+  std::vector<std::uint64_t> adj(n, 0);
   bool any_edge = false;
-  for (std::size_t i = 0; i < replied1_.size(); ++i) {
-    if (!(responders & (1ULL << i))) continue;
-    for (std::size_t k = i + 1; k < replied1_.size(); ++k) {
-      if (!(responders & (1ULL << k))) continue;
-      if (conflict(i, k) || conflict(k, i)) {
-        adj[i] |= 1ULL << k;
-        adj[k] |= 1ULL << i;
+  for (std::size_t i = 0; i < n; ++i) {
+    if ((responders & bit(i)) == 0) continue;
+    for (std::size_t k = i + 1; k < n; ++k) {
+      if ((responders & bit(k)) == 0) continue;
+      if ((accused[k] & bit(i)) != 0 || (accused[i] & bit(k)) != 0) {
+        adj[i] |= bit(k);
+        adj[k] |= bit(i);
         any_edge = true;
       }
     }
@@ -257,24 +374,28 @@ void RegularReader::try_finish(net::Context& ctx) {
   // it is a candidate -- the mirrors cover everything above the cache -- and
   // with >= S-t-b correct holders it cannot be invalidated, so C does not
   // drain) or is covered by returning the cache itself.
-  bool any_live = false;
-  Ts max_ts = 0;
-  for (const auto& cand : candidates_) {
-    if (cand.removed) continue;
-    any_live = true;
-    max_ts = std::max(max_ts, cand.tuple.tsval.ts);
-  }
-  if (!any_live) {
+  if (live_.empty()) {
     diag_.returned_from_cache = true;
     complete(ctx, cache_, /*from_cache=*/true);
     return;
   }
-  for (const auto& cand : candidates_) {
-    if (cand.removed || cand.tuple.tsval.ts != max_ts) continue;
-    if (is_safe(cand.tuple)) {
-      complete(ctx, cand.tuple.tsval, /*from_cache=*/false);
-      return;
+  // The first live candidate (line 20 order) among those with the highest
+  // timestamp, if it is safe: >= b+1 replied objects vouch for it (line 3).
+  const auto r = replied();
+  Ts max_ts = 0;
+  std::uint32_t pick = kNone;
+  for (const auto id : live_) {
+    const auto& c = store_[id];
+    const Ts ts = c.tuple.tsval.ts;
+    if (ts < max_ts || (ts == max_ts && pick != kNone)) continue;
+    if (ts > max_ts) {
+      max_ts = ts;
+      pick = kNone;
     }
+    if (std::popcount(r & (c.w_at | c.pw_at)) >= res_.b + 1) pick = id;
+  }
+  if (pick != kNone) {
+    complete(ctx, store_[pick].tuple.tsval, /*from_cache=*/false);
   }
 }
 
@@ -284,9 +405,19 @@ void RegularReader::complete(net::Context& ctx, TsVal v, bool from_cache) {
   // Reader-side GC mirroring the objects' watermark rule: slots below the
   // cache can only ever matter as denials against candidates older than a
   // value this reader already returned, and a missing slot denies too.
-  for (auto& mir : mirror_) {
-    mir.erase(mir.begin(), mir.lower_bound(cache_.ts));
+  for (std::size_t i = 0; i < mirror_.size(); ++i) {
+    auto& mir = mirror_[i];
+    const auto last = mir.lower_bound(cache_.ts);
+    for (auto it = mir.begin(); it != last; ++it) {
+      drop_slot(i, it->first);
+      if (it->second.w.has_value() && it->second.w->tsval.ts != it->first) {
+        --misplaced_[i];
+      }
+    }
+    mir.erase(mir.begin(), last);
   }
+  live_.clear();
+  collect_garbage();
   ReadResult result;
   result.tsval = std::move(v);
   result.rounds = 2;

@@ -13,7 +13,19 @@
 // the last value it returned (cache_ts); objects treat max(have, cache_ts)
 // as the reader's acked floor. If the candidate set drains, the reader falls
 // back to the cache. Mirrors are pruned below the cache after every read, so
-// reader memory tracks the cache window, not the full history.
+// reader memory tracks the cache window, not the full history -- except for
+// a Byzantine object that keeps forging slots above the writer, whose mirror
+// grows by one slot per reply.
+//
+// Every distinct w-tuple the mirrors report is kept once, across reads, in a
+// timestamp-indexed candidate store together with two bitmasks over objects
+// (whose mirror slot at the tuple's timestamp holds the tuple's w, and whose
+// holds its pw). A merged slot updates the masks of the few tuples at its
+// timestamp; safe() and invalid() are popcounts of those masks against the
+// replied set. So a read copies no tuple it has seen before and checks none
+// against every mirror; what stays linear in such a forged mirror is a pass
+// of a few machine words per live candidate per ack (docs/ARCHITECTURE.md,
+// "History lifecycle").
 #pragma once
 
 #include <cstdint>
@@ -58,18 +70,30 @@ class RegularReader : public ReaderClient {
   [[nodiscard]] const wire::History& mirror(std::size_t i) const {
     return mirror_[i];
   }
+  /// The read in progress's candidates that are not removed, in the order
+  /// Figure 6 line 20 added them; empty between reads (test/diagnostic
+  /// access).
+  [[nodiscard]] std::vector<WTuple> candidates() const;
 
  private:
   enum class Phase { Idle, Round1, Round2 };
 
+  /// One distinct w-tuple reported by some mirror (Figure 6 line 20's
+  /// unit). Kept across reads so each tuple is copied once; freed (storage
+  /// kept for reuse) after a read once no mirror slot holds it any more.
   struct Candidate {
     WTuple tuple;
-    bool removed{false};
-    /// Any tsrarray entry for this reader above tsrFR (Figure 6 line 1's
-    /// accusation predicate, precomputed at insertion): only such a
-    /// candidate can ever induce a conflict edge, so round1_complete()
-    /// skips the graph entirely while none exists -- the common case.
-    bool accuses{false};
+    /// Objects whose mirror slot tuple.tsval.ts has w == tuple ...
+    std::uint64_t w_at{0};
+    /// ... and those whose slot there has pw == tuple.tsval. A replied
+    /// object vouches (line 3) iff its bit is in w_at | pw_at and denies
+    /// (line 2) iff its bit is not in w_at & pw_at.
+    std::uint64_t pw_at{0};
+    /// Max tsrarray[*][j] for this reader j: the tuple accuses (line 1)
+    /// in a read iff this exceeds the read's tsrFR.
+    ReaderTs accusation{0};
+    std::uint64_t read{0};  ///< last read it was a candidate in (1-based)
+    bool gc_queued{false};  ///< in gc_ (w_at dropped to 0 at some point)
   };
 
   void handle_ack(net::Context& ctx, ProcessId from,
@@ -78,22 +102,24 @@ class RegularReader : public ReaderClient {
   void add_candidates_from_mirror(std::size_t i);
   void sweep_removals();
 
-  /// Whether object i replied in the given round of the current read; the
-  /// paper's history[rnd][i] lookup, with the mirror standing in for the
-  /// shipped history (the mirror *is* what full-suffix shipping would have
-  /// delivered, accumulated incrementally).
-  [[nodiscard]] bool replied(int rnd, std::size_t i) const;
+  // Candidate store. Every mirror mutation reports the slots it touched, so
+  // w_at/pw_at always equal what a scan of the mirrors would compute.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> at_ts(Ts ts) const;
+  [[nodiscard]] std::uint32_t find_candidate(const WTuple& w) const;
+  std::uint32_t make_candidate(const WTuple& w);
+  void update_bits(std::uint32_t id, std::size_t i);
+  void refresh_slot(std::size_t i, Ts ts);
+  void drop_slot(std::size_t i, Ts ts);
+  void set_bits(std::uint32_t id, std::size_t i, bool w, bool pw);
+  void collect_garbage();
+  [[nodiscard]] bool holds_anywhere(std::size_t k, std::uint32_t id) const;
 
-  [[nodiscard]] bool conflict(std::size_t i, std::size_t k) const;
   [[nodiscard]] bool round1_complete() const;
   void start_round2(net::Context& ctx);
-
-  [[nodiscard]] bool object_vouches(std::size_t i, const WTuple& c) const;
-  [[nodiscard]] bool object_denies(std::size_t i, const WTuple& c) const;
-  [[nodiscard]] bool is_safe(const WTuple& c) const;
-  [[nodiscard]] bool is_invalid(const WTuple& c) const;
   void try_finish(net::Context& ctx);
   void complete(net::Context& ctx, TsVal v, bool from_cache);
+
+  [[nodiscard]] std::uint64_t replied() const { return replied1_ | replied2_; }
 
   Resilience res_;
   Topology topo_;
@@ -105,14 +131,25 @@ class RegularReader : public ReaderClient {
   TsVal cache_{TsVal::bottom()};  ///< last returned value (Section 5.1)
   std::vector<wire::History> mirror_;  ///< per-object merged history
   std::vector<Ts> have_;               ///< per-object top merged slot
+  /// Per object: mirror slots whose w sits at a key other than its own
+  /// timestamp (only a Byzantine object ships those).
+  std::vector<std::uint32_t> misplaced_;
+  std::vector<Candidate> store_;       ///< candidate storage, by id
+  std::vector<std::uint32_t> free_;    ///< reusable store_ ids
+  /// (tuple timestamp, id) of every in-use candidate, sorted.
+  std::vector<std::pair<Ts, std::uint32_t>> by_ts_;
+  std::vector<std::uint32_t> gc_;      ///< ids whose w_at reached 0
+  std::uint64_t reads_{0};             ///< reads started (Candidate::read)
 
   // Per-read state.
   Phase phase_{Phase::Idle};
   ReaderTs tsr_first_round_{0};
   Ts request_cache_ts_{0};  ///< cache.ts snapshot sent with this read
-  std::vector<std::uint8_t> replied1_;
-  std::vector<std::uint8_t> replied2_;
-  std::vector<Candidate> candidates_;
+  std::uint64_t replied1_{0};  ///< objects that replied in round 1 (mask)
+  std::uint64_t replied2_{0};  ///< objects that replied in round 2 (mask)
+  /// This read's candidates not yet removed (line 27), in the order line
+  /// 20 added them; the order picks among equally-new safe candidates.
+  std::vector<std::uint32_t> live_;
   ReadCallback cb_;
   Time invoked_at_{0};
   Diag diag_{};

@@ -109,10 +109,12 @@ struct HistEntry {
 ///   - erasing a prefix advances `head_` -- O(erased), the retained suffix
 ///     never moves -- and *parks* the erased slots' payloads;
 ///   - appending prefers a parked payload over a fresh allocation, and when
-///     the buffer fills it compacts the dead prefix away instead of growing,
-///   so a bounded history appends without allocating or copying retained
-///   slots. put_pw/put_w/merge additionally reuse the parked string/vector
-///   capacity *inside* payloads, which is where the real bytes live.
+///     the buffer fills it compacts the dead prefix away instead of growing;
+///   - inserting below the live front reuses the last dead-prefix slot,
+///   so a bounded history appends (and re-inserts below its front) without
+///   allocating or copying retained slots. put_pw/put_w/merge_slot
+///   additionally reuse the parked string/vector capacity *inside* payloads,
+///   which is where the real bytes live.
 class History {
  public:
   using value_type = std::pair<Ts, HistEntry>;
@@ -230,30 +232,34 @@ class History {
     *e->w = w;
   }
 
-  /// Monotone slot-wise union, used by reader-side history mirrors: every
-  /// slot of `delta` is copied in, but an engaged field is never replaced
-  /// by nil. A slot's pw is immutable and its w only ever fills in under
-  /// the (correct, SWMR) writer, so a regression can only come from a stale
-  /// or replayed delta and must not punch holes into the mirror.
-  void merge(const History& delta) {
-    for (const auto& [ts, src] : delta) {
-      auto [e, created] = upsert(ts);
-      if (created) reset_entry(*e);
-      if (src.pw) {
-        if (!e->pw) e->pw.emplace();
-        *e->pw = *src.pw;
-      }
-      if (src.w) {
-        if (!e->w) {
-          if (!wspare_.empty()) {
-            e->w.emplace(std::move(wspare_.back()));
-            wspare_.pop_back();
-          } else {
-            e->w.emplace();
-          }
+  /// Monotone union of one shipped slot <ts, src>, used by reader-side
+  /// history mirrors: src's engaged fields are copied in, but an engaged
+  /// field is never replaced by nil. A slot's pw is immutable and its w only
+  /// ever fills in under the (correct, SWMR) writer, so a regression can
+  /// only come from a stale or replayed delta and must not punch holes into
+  /// the mirror. A created slot's recycled payload is overwritten in place
+  /// where src fills it and reset elsewhere.
+  void merge_slot(Ts ts, const HistEntry& src) {
+    auto [e, created] = upsert(ts);
+    if (src.pw) {
+      if (!e->pw) e->pw.emplace();
+      *e->pw = *src.pw;
+    } else if (created) {
+      e->pw.reset();
+    }
+    if (src.w) {
+      if (!e->w) {
+        if (!wspare_.empty()) {
+          e->w.emplace(std::move(wspare_.back()));
+          wspare_.pop_back();
+        } else {
+          e->w.emplace();
         }
-        *e->w = *src.w;
       }
+      *e->w = *src.w;
+    } else if (created && e->w) {
+      wspare_.push_back(std::move(*e->w));
+      e->w.reset();
     }
   }
 
@@ -289,10 +295,29 @@ class History {
   /// carry a recycled payload with stale fields that the caller must set.
   std::pair<HistEntry*, bool> upsert(Ts ts) {
     if (empty() || ts > v_.back().first) return {&append_slot(ts), true};
+    if (head_ > 0 && ts < v_[head_].first) return {&prepend_slot(ts), true};
     auto it = lower_bound(ts);
     if (it != v_.end() && it->first == ts) return {&it->second, false};
-    it = v_.emplace(it, ts, HistEntry{});  // out-of-order insert: rare
+    it = v_.emplace(it, ts, HistEntry{});  // mid-ring or no dead prefix: rare
     return {&it->second, true};
+  }
+
+  /// Below-front insert into a ring with a dead prefix: the slot just
+  /// before the live range becomes live again, with a parked payload when
+  /// there is one. A reader mirror takes this path on every Byzantine
+  /// regular reply (they all re-ship slot 0, which the mirror pruned after
+  /// its last read), so it must not shift the retained suffix.
+  HistEntry& prepend_slot(Ts ts) {
+    --head_;
+    auto& slot = v_[head_];
+    slot.first = ts;
+    if (!spare_.empty()) {
+      slot.second = std::move(spare_.back());
+      spare_.pop_back();
+    } else {
+      slot.second = HistEntry{};
+    }
+    return slot.second;
   }
 
   HistEntry& append_slot(Ts ts) {

@@ -360,5 +360,203 @@ TEST(HistoryGc, SteadyStateWritePathIsAllocationFree) {
   EXPECT_LE(obj_raw->history_size(), 4u);
 }
 
+// ---------------------------------------------------------------------------
+// Below-front inserts. Every Byzantine regular reply re-ships slot 0, which a
+// reader's mirror pruned after its last read: the insert lands below the
+// live front of a ring with a dead prefix and must reuse that prefix (and a
+// parked payload) instead of shifting every retained slot into a new buffer.
+// ---------------------------------------------------------------------------
+
+TEST(HistoryRing, BelowFrontInsertReusesTheDeadPrefix) {
+  wire::History h;
+  for (Ts ts = 0; ts < 8; ++ts) {
+    h.put_w(ts, TsVal{ts, "v"}, WTuple{TsVal{ts, "v"}, init_tsrarray(4)});
+  }
+  h.erase(h.begin(), h.lower_bound(5));  // live: 5 6 7, dead prefix of 5
+  const wire::HistEntry slot0{TsVal::bottom(), initial_wtuple(4)};
+  const wire::HistEntry slot3{TsVal{3, "v"},
+                              WTuple{TsVal{3, "v"}, init_tsrarray(4)}};
+
+  const std::uint64_t before = g_heap_allocs.load();
+  h.merge_slot(3, slot3);  // below the front: 3 5 6 7
+  h.merge_slot(0, slot0);  // below the new front: 0 3 5 6 7
+  EXPECT_EQ(g_heap_allocs.load() - before, 0u)
+      << "a below-front insert must reuse the dead prefix and its payloads";
+
+  Ts keys[8] = {};
+  std::size_t n = 0;
+  for (const auto& [ts, entry] : h) {
+    ASSERT_LT(n, 8u);
+    keys[n++] = ts;
+  }
+  ASSERT_EQ(n, 5u);
+  EXPECT_EQ(keys[0], 0u);
+  EXPECT_EQ(keys[1], 3u);
+  EXPECT_EQ(keys[2], 5u);
+  EXPECT_EQ(keys[3], 6u);
+  EXPECT_EQ(keys[4], 7u);
+  EXPECT_EQ(h.at(0), slot0);
+  EXPECT_EQ(h.at(3), slot3);
+  EXPECT_EQ(h.at(5).w->tsval, (TsVal{5, "v"}));
+
+  // The GC cycle a reader mirror runs on every read: prune, re-insert.
+  for (int round = 0; round < 100; ++round) {
+    h.erase(h.begin(), h.lower_bound(5));
+    h.merge_slot(0, slot0);
+  }
+  EXPECT_EQ(g_heap_allocs.load() - before, 0u);
+  EXPECT_EQ(h.size(), 4u);
+  EXPECT_EQ(h.begin()->first, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The reader's ack path against a stagger-shaped object: each of its replies
+// ships slot 0 plus a fresh forged slot above the writer, so the reader's
+// mirror of it keeps growing (the writer only catches up with a third of
+// the forged slots). The reader's work per ack must follow what the ack
+// changed, not the size of that mirror; heap allocations make this visible.
+// ---------------------------------------------------------------------------
+
+/// Scripted reads against objects 0-2 (correct) and 3 (stagger), S = 4.
+/// Read k: the writer has written 1..k; objects 0-2 ship slots k-1 and k;
+/// the stagger replies first in round 1 and last, after the read
+/// returned, in round 2. Messages are built before they are delivered, so
+/// only the reader's own allocations fall into a measured window.
+class StaggerReads {
+ public:
+  explicit StaggerReads(bool forged_rows)
+      : topo_(1, res_.num_objects),
+        reader_(res_, topo_, 0, /*optimized=*/false),
+        forged_rows_(forged_rows) {}
+
+  static constexpr int kStagger = 3;
+
+  /// Runs reads k = next .. next+count-1; returns the heap allocations
+  /// they made and counts the reads that made any.
+  std::uint64_t run(Ts count, int* allocating_reads = nullptr) {
+    std::vector<std::vector<Ack>> scripts;
+    scripts.reserve(count);
+    for (Ts k = next_; k < next_ + count; ++k) scripts.push_back(script(k));
+    const std::uint64_t before = g_heap_allocs.load();
+    for (const auto& acks : scripts) {
+      const std::uint64_t at = g_heap_allocs.load();
+      returned_ = 0;
+      reader_.read(null_, [this](const core::ReadResult& r) {
+        returned_ = r.tsval.ts;
+      });
+      for (const auto& a : acks) {
+        reader_.on_message(null_, topo_.object(a.from), a.msg);
+      }
+      if (returned_ != next_) ++wrong_;
+      ++next_;
+      if (allocating_reads != nullptr && g_heap_allocs.load() != at) {
+        ++*allocating_reads;
+      }
+    }
+    return g_heap_allocs.load() - before;
+  }
+
+  [[nodiscard]] std::size_t forged() const {
+    return reader_.mirror(kStagger).size();
+  }
+  [[nodiscard]] int wrong_returns() const { return wrong_; }
+
+ private:
+  struct Ack {
+    int from;
+    wire::Message msg;  // prebuilt: a conversion at delivery would copy
+  };
+
+  [[nodiscard]] std::vector<Ack> script(Ts k) {
+    const ReaderTs tsr1 = 2 * k - 1;
+    std::vector<Ack> acks;
+    acks.push_back({kStagger, stagger(k, 1, tsr1)});
+    acks.push_back({0, honest(k, 1, tsr1)});
+    acks.push_back({1, honest(k, 1, tsr1)});  // quorum: round 2 starts
+    acks.push_back({2, honest(k, 1, tsr1)});  // late round-1 ack
+    acks.push_back({0, honest(k, 2, tsr1 + 1)});
+    acks.push_back({1, honest(k, 2, tsr1 + 1)});
+    acks.push_back({2, honest(k, 2, tsr1 + 1)});  // forged slots invalid
+    acks.push_back({kStagger, stagger(k, 2, tsr1 + 1)});
+    return acks;
+  }
+
+  [[nodiscard]] wire::HistReadAckMsg honest(Ts k, std::uint8_t round,
+                                            ReaderTs tsr) const {
+    wire::HistReadAckMsg m{round, tsr, {}, k - 1, 0};
+    for (Ts ts = k - 1; ts <= k; ++ts) {
+      m.history[ts] = wire::HistEntry{TsVal{ts, "v"},
+                                      WTuple{TsVal{ts, "v"}, {}}};
+    }
+    return m;
+  }
+
+  [[nodiscard]] wire::HistReadAckMsg stagger(Ts k, std::uint8_t round,
+                                             ReaderTs tsr) {
+    wire::HistReadAckMsg m{round, tsr, {}, 0, 0};
+    m.history[0] = wire::HistEntry{TsVal::bottom(), WTuple{}};
+    const Ts ts = k + 100 + counter_++;
+    WTuple w{TsVal{ts, "STAGGER"}, {}};
+    if (forged_rows_) {  // the shape adversary::forge_tuple gives it
+      w.tsrarray = init_tsrarray(static_cast<std::size_t>(res_.num_objects));
+      for (int i = 0; i < res_.quorum(); ++i) {
+        w.tsrarray[static_cast<std::size_t>(i)] = TsrRow(1, 0);
+      }
+    }
+    m.history[ts] = wire::HistEntry{w.tsval, w};
+    return m;
+  }
+
+  Resilience res_ = Resilience::optimal(1, 1, 1);  // S = 4, quorum 3
+  Topology topo_;
+  core::RegularReader reader_;
+  NullContext null_;
+  bool forged_rows_;
+  Ts next_{1};
+  Ts counter_{0};
+  Ts returned_{0};
+  int wrong_{0};
+};
+
+TEST(HistoryGc, ReaderAckPathDoesNotAllocatePerAckAgainstAStagger) {
+  // No tuple here carries tsrarray rows and every value is short, so
+  // storing one needs no heap of its own: what is counted is the reader's
+  // bookkeeping and the mirror's slot array. Once warm, acks allocate
+  // nothing; what remains is the geometric growth of the containers that
+  // hold the growing forged set (the mirror's slot array and the reader's
+  // candidate store, index and live list), at most once each over a window
+  // that grows the set by less than 2x.
+  StaggerReads reads(/*forged_rows=*/false);
+  reads.run(1'000);  // warm-up
+  const std::size_t forged_before = reads.forged();
+  int allocating_reads = 0;
+  const std::uint64_t allocs = reads.run(1'000, &allocating_reads);
+  EXPECT_EQ(reads.wrong_returns(), 0);
+  EXPECT_GE(reads.forged(), forged_before + 1'000)
+      << "the stagger's mirror must keep growing";
+  ASSERT_LT(reads.forged(), 2 * forged_before);
+  EXPECT_LE(allocs, 4u) << "allocations beyond container growth";
+  EXPECT_LE(allocating_reads, 4) << "of 1000 reads";
+}
+
+TEST(HistoryGc, ReaderAllocationsDoNotScaleWithTheForgedMirror) {
+  // With forged tuples shaped like adversary::forge_tuple's (tsrarray rows
+  // on the heap), every new forged slot costs its stored copies, a fixed
+  // number per reply. A reader that re-copied or re-collected the forged
+  // set on every read would allocate in proportion to the mirror instead:
+  // two equal windows, the second over a mirror about twice as large, must
+  // allocate the same, up to container growth.
+  StaggerReads reads(/*forged_rows=*/true);
+  reads.run(500);  // warm-up
+  const std::size_t f0 = reads.forged();
+  const std::uint64_t first = reads.run(1'000);
+  const std::size_t f1 = reads.forged();
+  const std::uint64_t second = reads.run(1'000);
+  EXPECT_EQ(reads.wrong_returns(), 0);
+  ASSERT_GT(reads.forged(), f1 + (f1 - f0) / 2) << "mirror must keep growing";
+  EXPECT_GT(first, 0u);
+  EXPECT_LE(second, first + 8) << "allocations grew with the forged mirror";
+}
+
 }  // namespace
 }  // namespace rr

@@ -3,7 +3,12 @@
 // suffix-request plumbing, cache behaviour, and hostile histories.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
+#include <map>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "adversary/capture.hpp"
 #include "core/regular_reader.hpp"
@@ -231,6 +236,47 @@ TEST(RegularReaderUnit, ConflictViaHistoryTuple) {
   EXPECT_TRUE(h.round2_started_) << "{0,1,3} is a clean quorum";
 }
 
+TEST(RegularReaderUnit, ConflictViaMisplacedTuple) {
+  // conflict(i, k) looks for the accusing tuple anywhere in object k's
+  // history, not only under the tuple's own timestamp. With t = b = 2
+  // (S = 7, quorum 5, t+b+1 = 5): object 0 holds an accusing tuple c at
+  // slot c.ts and c accuses object 0 itself (no edge: self-loops do not
+  // count); object 1 holds c under a foreign key. c has 4 deniers among
+  // the first 5 responders, so it is live, and object 1's copy makes
+  // {0, 1} a conflicting pair: round 1 must wait for a sixth reply.
+  const Resilience res = Resilience::optimal(2, 2, 1);
+  const Topology topo(1, res.num_objects);
+  RegularReader reader(res, topo, 0, /*optimized=*/false);
+  NullContext null;
+  CapturingContext start(null);
+  reader.read(start, [](const ReadResult&) {});
+  const ReaderTs tsr = std::get<wire::HistReadMsg>(start.take()[0].msg).tsr;
+  const auto n = static_cast<std::size_t>(res.num_objects);
+  WTuple c{TsVal{5, "x"}, init_tsrarray(n)};
+  c.tsrarray[0] = TsrRow{1'000'000'000};
+  wire::History base;
+  base[0] = wire::HistEntry{TsVal::bottom(), initial_wtuple(n)};
+  wire::History at_own = base;
+  at_own[5] = wire::HistEntry{c.tsval, c};
+  wire::History misplaced = base;
+  misplaced[9] = wire::HistEntry{TsVal{9, "y"}, c};
+  bool round2 = false;
+  auto ack = [&](int i, const wire::History& h) {
+    CapturingContext cap(null);
+    reader.on_message(cap, topo.object(i),
+                      wire::HistReadAckMsg{1, tsr, h, 0, 0});
+    round2 = round2 || !cap.sent().empty();
+  };
+  ack(0, at_own);
+  ack(1, misplaced);
+  ack(2, base);
+  ack(3, base);
+  ack(4, base);
+  EXPECT_FALSE(round2) << "the misplaced copy of c must conflict 1 with 0";
+  ack(5, base);
+  EXPECT_TRUE(round2);
+}
+
 TEST(RegularReaderUnit, WaitsWhenRoundTwoCandidateLacksVouchers) {
   // Empty-ish round 1 followed by a round-2-only candidate: regularity's
   // proof machinery (case 2.b) lives in the DES tests; here we only pin
@@ -242,6 +288,576 @@ TEST(RegularReaderUnit, WaitsWhenRoundTwoCandidateLacksVouchers) {
   ASSERT_TRUE(h.result_.has_value())
       << "slot 0 alone is safe (every object vouches for w0)";
   EXPECT_TRUE(h.result_->tsval.is_bottom());
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: the reader against a naive, test-local transcription of
+// Figure 6 over std::map mirrors -- candidates re-collected from the mirrors
+// on every round-1 reply and deduplicated by scan, safe/invalid/conflict
+// evaluated by scanning every mirror, the independent quorum found by brute
+// force. Both are fed the same randomized ack sequences and must agree after
+// every ack on what they send, what they return, the live candidate list
+// (hence the removed set) and the mirrors.
+// ---------------------------------------------------------------------------
+
+class NaiveReader {
+ public:
+  struct Sent {
+    int object;
+    wire::HistReadMsg msg;
+  };
+  struct Done {
+    TsVal tsval;
+    bool from_cache;
+  };
+
+  NaiveReader(const Resilience& res, int j, bool optimized)
+      : res_(res),
+        j_(static_cast<std::size_t>(j)),
+        optimized_(optimized),
+        mirror_(static_cast<std::size_t>(res.num_objects)),
+        have_(static_cast<std::size_t>(res.num_objects), 0) {}
+
+  std::vector<Sent> read() {
+    replied1_.assign(mirror_.size(), false);
+    replied2_.assign(mirror_.size(), false);
+    cands_.clear();
+    added_ = removed_ = 0;
+    done_.reset();
+    tsr_fr_ = ++tsr_;
+    floor_ = optimized_ ? cache_.ts : 0;
+    phase_ = 1;
+    return requests(1);
+  }
+
+  std::vector<Sent> ack(int obj, const wire::HistReadAckMsg& m) {
+    const auto i = static_cast<std::size_t>(obj);
+    std::vector<Sent> out;
+    if (phase_ == 1 && m.round == 1 && m.tsr == tsr_fr_ && !replied1_[i]) {
+      replied1_[i] = true;
+      merge(i, m);
+      add_candidates(i);
+      sweep();
+      if (round1_complete()) {
+        phase_ = 2;
+        ++tsr_;
+        out = requests(2);
+        finish();
+      }
+    } else if (phase_ == 2 && m.round == 2 && m.tsr == tsr_fr_ + 1 &&
+               !replied2_[i]) {
+      replied2_[i] = true;
+      merge(i, m);
+      sweep();
+      finish();
+    } else if (m.resync == 0) {
+      merge(i, m);
+    }
+    return out;
+  }
+
+  [[nodiscard]] bool busy() const { return phase_ != 0; }
+  [[nodiscard]] const std::optional<Done>& done() const { return done_; }
+  [[nodiscard]] int added() const { return added_; }
+  [[nodiscard]] int removed() const { return removed_; }
+  [[nodiscard]] Ts have(std::size_t i) const { return have_[i]; }
+  [[nodiscard]] const std::map<Ts, wire::HistEntry>& mirror(
+      std::size_t i) const {
+    return mirror_[i];
+  }
+  [[nodiscard]] std::vector<WTuple> live() const {
+    std::vector<WTuple> out;
+    if (phase_ == 0) return out;
+    for (const auto& c : cands_) {
+      if (!c.removed) out.push_back(c.tuple);
+    }
+    return out;
+  }
+
+ private:
+  struct Cand {
+    WTuple tuple;
+    bool removed;
+  };
+
+  std::vector<Sent> requests(std::uint8_t round) const {
+    std::vector<Sent> out;
+    for (std::size_t i = 0; i < mirror_.size(); ++i) {
+      out.push_back({static_cast<int>(i),
+                     wire::HistReadMsg{round, tsr_, floor_, have_[i]}});
+    }
+    return out;
+  }
+
+  void merge(std::size_t i, const wire::HistReadAckMsg& m) {
+    auto& mir = mirror_[i];
+    if (m.resync != 0) mir.clear();
+    for (const auto& [ts, src] : m.history) {
+      auto& e = mir[ts];
+      if (src.pw) e.pw = src.pw;
+      if (src.w) e.w = src.w;
+    }
+    if (!mir.empty()) have_[i] = mir.rbegin()->first;
+  }
+
+  void add_candidates(std::size_t i) {
+    for (auto it = mirror_[i].lower_bound(floor_); it != mirror_[i].end();
+         ++it) {
+      if (!it->second.w) continue;
+      bool known = false;
+      for (const auto& c : cands_) known = known || c.tuple == *it->second.w;
+      if (!known) {
+        cands_.push_back({*it->second.w, false});
+        ++added_;
+      }
+    }
+  }
+
+  [[nodiscard]] bool replied(std::size_t i) const {
+    return replied1_[i] || replied2_[i];
+  }
+
+  [[nodiscard]] const wire::HistEntry* slot(std::size_t i, Ts ts) const {
+    const auto it = mirror_[i].find(ts);
+    return it == mirror_[i].end() ? nullptr : &it->second;
+  }
+
+  [[nodiscard]] bool safe(const WTuple& c) const {  // Figure 6 line 3
+    int n = 0;
+    for (std::size_t i = 0; i < mirror_.size(); ++i) {
+      const auto* e = slot(i, c.tsval.ts);
+      if (replied(i) && e != nullptr &&
+          ((e->pw && *e->pw == c.tsval) || (e->w && *e->w == c))) {
+        ++n;
+      }
+    }
+    return n >= res_.b + 1;
+  }
+
+  [[nodiscard]] bool invalid(const WTuple& c) const {  // Figure 6 line 2
+    int n = 0;
+    for (std::size_t i = 0; i < mirror_.size(); ++i) {
+      const auto* e = slot(i, c.tsval.ts);
+      if (replied(i) && (e == nullptr || !e->w || !(*e->w == c) || !e->pw ||
+                         !(*e->pw == c.tsval))) {
+        ++n;
+      }
+    }
+    return n >= res_.t + res_.b + 1;
+  }
+
+  [[nodiscard]] bool conflict(std::size_t i, std::size_t k) const {  // line 1
+    if (!replied1_[k]) return false;
+    for (const auto& c : cands_) {
+      if (c.removed) continue;
+      for (const auto& [ts, e] : mirror_[k]) {
+        if (!e.w || !(*e.w == c.tuple)) continue;
+        const auto& arr = c.tuple.tsrarray;
+        if (i < arr.size() && arr[i] && j_ < arr[i]->size() &&
+            (*arr[i])[j_] > tsr_fr_) {
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+
+  [[nodiscard]] bool round1_complete() const {  // line 11, brute force
+    const std::size_t n = mirror_.size();
+    std::vector<std::vector<bool>> edge(n, std::vector<bool>(n, false));
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t k = 0; k < n; ++k) {
+        edge[i][k] = i != k && (conflict(i, k) || conflict(k, i));
+      }
+    }
+    for (std::uint32_t set = 0; set < (1u << n); ++set) {
+      if (std::popcount(set) < res_.quorum()) continue;
+      bool ok = true;
+      for (std::size_t i = 0; i < n && ok; ++i) {
+        if ((set >> i & 1u) == 0) continue;
+        if (!replied1_[i]) ok = false;
+        for (std::size_t k = 0; k < n && ok; ++k) {
+          if ((set >> k & 1u) != 0 && edge[i][k]) ok = false;
+        }
+      }
+      if (ok) return true;
+    }
+    return false;
+  }
+
+  void sweep() {  // lines 26-27
+    for (auto& c : cands_) {
+      if (!c.removed && invalid(c.tuple)) {
+        c.removed = true;
+        ++removed_;
+      }
+    }
+  }
+
+  void finish() {  // lines 14-16 plus the Section 5.1 cache fallback
+    if (phase_ != 2) return;
+    bool any = false;
+    Ts max_ts = 0;
+    for (const auto& c : cands_) {
+      if (c.removed) continue;
+      any = true;
+      max_ts = std::max(max_ts, c.tuple.tsval.ts);
+    }
+    if (!any) {
+      complete(cache_, true);
+      return;
+    }
+    for (const auto& c : cands_) {
+      if (!c.removed && c.tuple.tsval.ts == max_ts && safe(c.tuple)) {
+        complete(c.tuple.tsval, false);
+        return;
+      }
+    }
+  }
+
+  void complete(TsVal v, bool from_cache) {
+    phase_ = 0;
+    cache_ = v;
+    for (auto& mir : mirror_) mir.erase(mir.begin(), mir.lower_bound(v.ts));
+    done_ = Done{v, from_cache};
+  }
+
+  Resilience res_;
+  std::size_t j_;
+  bool optimized_;
+  ReaderTs tsr_{0};
+  ReaderTs tsr_fr_{0};
+  Ts floor_{0};
+  TsVal cache_{TsVal::bottom()};
+  int phase_{0};
+  std::vector<std::map<Ts, wire::HistEntry>> mirror_;
+  std::vector<Ts> have_;
+  std::vector<bool> replied1_;
+  std::vector<bool> replied2_;
+  std::vector<Cand> cands_;
+  int added_{0};
+  int removed_{0};
+  std::optional<Done> done_;
+};
+
+/// One randomized scenario: a writer's honest history, honest objects that
+/// lag it, Byzantine objects that ship forged, stagger-shaped (a fresh slot
+/// above the writer on every reply), misplaced (a tuple under another
+/// slot's key), equivocating, accusing or junk slots; acks that come
+/// duplicated, stale, late, out of round and as flagged resyncs.
+class DiffScenario {
+ public:
+  explicit DiffScenario(std::uint64_t seed) : rng_(seed) {
+    const auto t = rng_.uniform(1, 2);
+    const auto b = rng_.uniform(0, t);
+    const auto readers = rng_.uniform(1, 2);
+    res_ = Resilience::optimal(static_cast<int>(t), static_cast<int>(b),
+                               static_cast<int>(readers));
+    j_ = static_cast<int>(rng_.uniform(0, readers - 1));
+    optimized_ = rng_.chance(0.5);
+    topo_.emplace(readers, res_.num_objects);
+    reader_.emplace(res_, *topo_, j_, optimized_);
+    naive_.emplace(res_, j_, optimized_);
+    const auto s = static_cast<std::size_t>(res_.num_objects);
+    byz_.assign(s, false);
+    for (std::uint64_t k = 0; k < b; ++k) byz_[rng_.index(s)] = true;
+    lag_.assign(s, 0);
+    honest_[0] = wire::HistEntry{TsVal::bottom(), initial_wtuple(s)};
+  }
+
+  /// What a run exercised, so the test can tell it was not vacuous.
+  struct Coverage {
+    int reads{0};
+    int blocked{0};
+    int removed{0};
+    int from_cache{0};
+    std::uint64_t resyncs{0};
+  };
+
+  /// Runs up to `reads` reads; stops early if a read blocks (both sides
+  /// must agree that it does).
+  Coverage run(int reads) {
+    for (int r = 0; r < reads; ++r) {
+      advance_writer();
+      if (!one_read()) {
+        ++cov_.blocked;
+        break;
+      }
+      ++cov_.reads;
+      cov_.removed += reader_->diag().candidates_removed;
+      cov_.from_cache += result_->returned_default ? 1 : 0;
+      cov_.resyncs += reader_->diag().resyncs;
+      if (::testing::Test::HasFailure()) break;
+    }
+    return cov_;
+  }
+
+ private:
+  [[nodiscard]] std::size_t objects() const {
+    return static_cast<std::size_t>(res_.num_objects);
+  }
+
+  [[nodiscard]] WTuple honest_tuple(Ts ts) {
+    WTuple w{TsVal{ts, "v" + std::to_string(ts)}, init_tsrarray(objects())};
+    for (int k = 0; k < res_.quorum(); ++k) {
+      TsrRow row(static_cast<std::size_t>(res_.num_readers));
+      // At most the reader's current timestamp: never above a later tsrFR.
+      for (auto& x : row) x = rng_.uniform(0, tsr1_ + 1);
+      w.tsrarray[rng_.index(objects())] = std::move(row);
+    }
+    return w;
+  }
+
+  [[nodiscard]] WTuple accusing_tuple(Ts ts, const Value& v) {
+    WTuple w{TsVal{ts, v}, init_tsrarray(objects())};
+    for (std::size_t k = 0; k < objects(); ++k) {
+      if (!rng_.chance(0.5)) continue;
+      TsrRow row(static_cast<std::size_t>(res_.num_readers), 0);
+      row[static_cast<std::size_t>(j_)] = 1'000'000'000;
+      w.tsrarray[k] = std::move(row);
+    }
+    return w;
+  }
+
+  void advance_writer() {
+    const auto writes = rng_.uniform(0, 2);
+    for (std::uint64_t k = 0; k < writes; ++k) {
+      ++top_;
+      WTuple w = honest_tuple(top_);
+      honest_[top_] = wire::HistEntry{w.tsval, std::move(w)};
+    }
+    for (auto& lag : lag_) lag = static_cast<int>(rng_.uniform(0, 2));
+    pw_only_top_ = rng_.chance(0.3);
+  }
+
+  /// What an honest object ships from `floor`: its view of the writer's
+  /// history (lagging, top slot possibly still pw-only).
+  [[nodiscard]] wire::History honest_delta(std::size_t i, Ts floor) {
+    wire::History h;
+    const Ts top = top_ > static_cast<Ts>(lag_[i])
+                       ? top_ - static_cast<Ts>(lag_[i]) : 0;
+    if (rng_.chance(0.1)) floor = 0;  // re-ships below the reader's floor
+    for (auto it = honest_.lower_bound(floor);
+         it != honest_.end() && it->first <= top; ++it) {
+      wire::HistEntry e = it->second;
+      if (it->first == top && top == top_ && pw_only_top_ && top > 0) {
+        e.w.reset();
+      }
+      h[it->first] = e;
+    }
+    return h;
+  }
+
+  [[nodiscard]] wire::History byzantine_delta(std::size_t i, Ts floor) {
+    wire::History h;
+    const auto pick = rng_.uniform(0, 5);
+    const Ts real = top_ == 0 ? 0 : rng_.uniform(0, top_);
+    switch (pick) {
+      case 0: {  // stagger: slot 0 plus a fresh forged slot above the writer
+        h[0] = honest_.at(0);
+        const Ts ts = top_ + 100 + stagger_++;
+        const WTuple w{TsVal{ts, "STAGGER"}, honest_tuple(ts).tsrarray};
+        h[ts] = wire::HistEntry{w.tsval, w};
+        break;
+      }
+      case 1: {  // forger / accuser
+        const Ts ts = top_ + 7;
+        const WTuple w = rng_.chance(0.5)
+                             ? accusing_tuple(ts, "ACCUSE")
+                             : WTuple{TsVal{ts, "FORGED"},
+                                      init_tsrarray(objects())};
+        h[ts] = wire::HistEntry{w.tsval, w};
+        break;
+      }
+      case 2: {  // equivocator: a real slot with an evil pw/w or a bent w
+        const auto& real_slot = honest_.at(real);
+        wire::HistEntry e;
+        if (rng_.chance(0.5)) {
+          e.pw = TsVal{real, "EVIL"};
+          e.w = WTuple{TsVal{real, "EVIL"}, init_tsrarray(objects())};
+        } else {
+          e.pw = real_slot.pw;  // vouches by pw, denies by w
+          e.w = honest_tuple(real);
+        }
+        h[real] = std::move(e);
+        break;
+      }
+      case 3: {  // misplaced: a tuple under another slot's key
+        const Ts key = rng_.chance(0.3) ? rng_.uniform(0, top_ + 3)
+                                        : floor + rng_.uniform(0, 3);
+        WTuple w = rng_.chance(0.6) ? accusing_tuple(real, "ACCUSE")
+                                    : *honest_.at(real).w;
+        h[key] = wire::HistEntry{w.tsval, std::move(w)};
+        break;
+      }
+      case 4:  // honest-looking
+        h = honest_delta(i, floor);
+        break;
+      default: {  // junk around the writer
+        const auto n = rng_.uniform(0, 3);
+        for (std::uint64_t k = 0; k < n; ++k) {
+          const Ts key = rng_.uniform(0, top_ + 2);
+          wire::HistEntry e;
+          if (rng_.chance(0.5)) {
+            e.pw = TsVal{key, rng_.chance(0.5) ? "v" + std::to_string(key)
+                                               : std::string("X")};
+          }
+          if (rng_.chance(0.5) && honest_.contains(key)) {
+            e.w = *honest_.at(key).w;
+          }
+          h[key] = std::move(e);
+        }
+        break;
+      }
+    }
+    return h;
+  }
+
+  [[nodiscard]] wire::HistReadAckMsg make_ack(std::size_t i, std::uint8_t round,
+                                              ReaderTs tsr) {
+    const Ts floor = std::max(reader_->have(i), requested_cache_ts_);
+    wire::HistReadAckMsg m;
+    m.round = round;
+    m.tsr = tsr;
+    m.history = byz_[i] ? byzantine_delta(i, floor) : honest_delta(i, floor);
+    m.since = floor;
+    return m;
+  }
+
+  /// Delivers one ack to both readers and compares everything observable.
+  void deliver(std::size_t i, const wire::HistReadAckMsg& m) {
+    NullContext null;
+    CapturingContext cap(null);
+    reader_->on_message(cap, topo_->object(static_cast<int>(i)), m);
+    const auto expect_sent = naive_->ack(static_cast<int>(i), m);
+    const auto sent = cap.take();
+    ASSERT_EQ(sent.size(), expect_sent.size()) << "round-2 start differs";
+    for (std::size_t k = 0; k < sent.size(); ++k) {
+      EXPECT_EQ(sent[k].to, topo_->object(expect_sent[k].object));
+      EXPECT_EQ(std::get<wire::HistReadMsg>(sent[k].msg), expect_sent[k].msg);
+      round2_ = true;
+    }
+    compare();
+  }
+
+  void compare() {
+    ASSERT_EQ(reader_->busy(), naive_->busy());
+    EXPECT_EQ(reader_->candidates(), naive_->live()) << "removed sets differ";
+    EXPECT_EQ(reader_->diag().candidates_added, naive_->added());
+    EXPECT_EQ(reader_->diag().candidates_removed, naive_->removed());
+    ASSERT_EQ(result_.has_value(), naive_->done().has_value());
+    if (result_) {
+      EXPECT_EQ(result_->tsval, naive_->done()->tsval);
+      EXPECT_EQ(result_->returned_default, naive_->done()->from_cache);
+    }
+    for (std::size_t i = 0; i < objects(); ++i) {
+      EXPECT_EQ(reader_->have(i), naive_->have(i));
+      const auto& mine = reader_->mirror(i);
+      const auto& ref = naive_->mirror(i);
+      ASSERT_EQ(mine.size(), ref.size()) << "mirror " << i;
+      EXPECT_TRUE(std::equal(
+          mine.begin(), mine.end(), ref.begin(),
+          [](const auto& a, const auto& b) {
+            return a.first == b.first && a.second == b.second;
+          }))
+          << "mirror " << i;
+    }
+  }
+
+  /// One read: a random ack phase, then every object answers both rounds
+  /// until the read returns. Returns false if it blocked.
+  bool one_read() {
+    result_.reset();
+    NullContext null;
+    CapturingContext cap(null);
+    reader_->read(cap, [this](const ReadResult& r) { result_ = r; });
+    const auto sent = cap.take();
+    const auto expect_sent = naive_->read();
+    EXPECT_EQ(sent.size(), expect_sent.size());
+    for (std::size_t k = 0; k < sent.size() && k < expect_sent.size(); ++k) {
+      EXPECT_EQ(std::get<wire::HistReadMsg>(sent[k].msg), expect_sent[k].msg);
+    }
+    const auto& req = std::get<wire::HistReadMsg>(sent[0].msg);
+    round2_ = false;
+    tsr1_ = req.tsr;
+    requested_cache_ts_ = req.cache_ts;
+
+    std::optional<std::pair<std::size_t, wire::HistReadAckMsg>> last;
+    const auto noise = rng_.uniform(0, 3 * objects());
+    for (std::uint64_t k = 0; k < noise && !result_; ++k) {
+      if (last && rng_.chance(0.15)) {  // duplicate
+        deliver(last->first, last->second);
+        continue;
+      }
+      const std::size_t i = rng_.index(objects());
+      std::uint8_t round = round2_ ? 2 : 1;
+      if (rng_.chance(0.25)) round = round == 1 ? 2 : 1;
+      ReaderTs tsr = round == 1 ? tsr1_ : tsr1_ + 1;
+      if (rng_.chance(0.15)) tsr = tsr1_ > 2 ? tsr1_ - 2 : 0;  // stale
+      auto m = make_ack(i, round, tsr);
+      if (rng_.chance(0.05)) m.resync = 1;
+      deliver(i, m);
+      last.emplace(i, std::move(m));
+      if (::testing::Test::HasFailure()) return false;
+    }
+    for (int pass = 0; pass < 2 && !result_; ++pass) {
+      for (const std::uint8_t round : {std::uint8_t{1}, std::uint8_t{2}}) {
+        for (std::size_t i = 0; i < objects() && !result_; ++i) {
+          deliver(i, make_ack(i, round, round == 1 ? tsr1_ : tsr1_ + 1));
+          if (::testing::Test::HasFailure()) return false;
+        }
+      }
+    }
+    if (!result_) return false;
+    const auto late = rng_.uniform(0, 2);  // after the READ returned
+    for (std::uint64_t k = 0; k < late; ++k) {
+      const std::size_t i = rng_.index(objects());
+      deliver(i, make_ack(i, 2, tsr1_ + 1));
+    }
+    return true;
+  }
+
+  Rng rng_;
+  Resilience res_;
+  int j_{0};
+  bool optimized_{false};
+  std::optional<Topology> topo_;
+  std::optional<RegularReader> reader_;
+  std::optional<NaiveReader> naive_;
+  std::vector<bool> byz_;
+  std::vector<int> lag_;
+  std::map<Ts, wire::HistEntry> honest_;
+  Ts top_{0};
+  bool pw_only_top_{false};
+  Ts stagger_{0};
+  ReaderTs tsr1_{0};
+  Ts requested_cache_ts_{0};
+  bool round2_{false};  ///< the read in progress sent its round-2 requests
+  std::optional<ReadResult> result_;
+  Coverage cov_;
+};
+
+TEST(RegularReaderUnit, MatchesNaiveFigure6OnRandomizedAcks) {
+  DiffScenario::Coverage total;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const auto cov = DiffScenario(seed).run(12);
+    if (::testing::Test::HasFailure()) return;
+    total.reads += cov.reads;
+    total.blocked += cov.blocked;
+    total.removed += cov.removed;
+    total.from_cache += cov.from_cache;
+    total.resyncs += cov.resyncs;
+  }
+  // The comparison only means something if the runs reached the paths.
+  EXPECT_GT(total.reads, 2'000);
+  EXPECT_GT(total.removed, 500);
+  EXPECT_GT(total.from_cache, 10);
+  EXPECT_GT(total.resyncs, 100u);
+  std::printf("differential: %d reads, %d blocked, %d removals, %d cache "
+              "fallbacks, %llu resyncs\n",
+              total.reads, total.blocked, total.removed, total.from_cache,
+              static_cast<unsigned long long>(total.resyncs));
 }
 
 }  // namespace

@@ -3,8 +3,12 @@
 // regular-specific behaviours (history growth, candidate invalidation).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/regular_reader.hpp"
 #include "harness/deployment.hpp"
+#include "harness/scenario_dsl.hpp"
+#include "harness/sweep.hpp"
 #include "harness/workload.hpp"
 #include "objects/regular_object.hpp"
 #include "sim/world.hpp"
@@ -304,6 +308,41 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param)) +
              (std::get<2>(info.param) ? "_opt" : "_full");
     });
+
+// ---------------------------------------------------------------------------
+// Stagger x open loop, pinned. A stagger object forges a fresh slot above
+// the writer on every reply, so the reader's mirror of it grows all run.
+// These two committed fixtures (from the benchmark corpus) must replay to
+// the DES fingerprint and traffic recorded before the reader's candidate
+// store replaced its per-read rescans: the rework changed how much local
+// work a read does, never what it decides or sends.
+// ---------------------------------------------------------------------------
+TEST(RegularStorage, StaggerOpenLoopFixturesKeepTheirFingerprints) {
+  struct Golden {
+    const char* file;
+    std::uint64_t fingerprint;
+    std::uint64_t messages_sent;
+    std::uint64_t bytes_sent;
+  };
+  const Golden goldens[] = {
+      {"regular-stagger-open-52.scn", 0xc1bf19e295f6849dULL, 32'434,
+       2'351'052},
+      {"regular-stagger-open-102.scn", 0xa848a9f3f172694eULL, 50'755,
+       6'248'815},
+  };
+  for (const auto& g : goldens) {
+    SCOPED_TRACE(g.file);
+    const auto parsed = harness::load_scenario_file(
+        std::string(RR_SOURCE_DIR) + "/tests/fixtures/scenarios/" + g.file);
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    const auto v = harness::SweepEngine::run_cell(parsed.scenario);
+    EXPECT_TRUE(v.ok) << v.first_violation;
+    EXPECT_EQ(v.ops_stuck, 0);
+    EXPECT_EQ(v.fingerprint, g.fingerprint);
+    EXPECT_EQ(v.net.messages_sent, g.messages_sent);
+    EXPECT_EQ(v.net.bytes_sent, g.bytes_sent);
+  }
+}
 
 }  // namespace
 }  // namespace rr
