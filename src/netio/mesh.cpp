@@ -2,11 +2,13 @@
 
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <ctime>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -22,6 +24,24 @@ namespace {
 constexpr std::uint32_t kHelloMagic = 0x4f4c4548u;
 constexpr std::size_t kHelloBytes = 8;
 constexpr Time kNoDeadline = ~Time{0};
+/// Longest node-loop wait with nothing scheduled (stop() also wakes).
+constexpr Time kIdleWaitNs = 100'000'000;
+
+/// The node whose loop runs on this thread, if any: a post or send from a
+/// node's own step needs no eventfd wake, since the loop re-reads its
+/// deadline and inject queues before every wait.
+thread_local const void* t_loop_node = nullptr;
+
+/// Bumps a counter that only its owner thread writes: a relaxed load and
+/// store, no locked read-modify-write, while transport() reads it anywhere.
+void bump(std::atomic<std::uint64_t>& c, std::uint64_t by = 1) {
+  c.store(c.load(std::memory_order_relaxed) + by, std::memory_order_relaxed);
+}
+
+std::uint64_t corrupt_count(const wire::FrameDecoder& dec) {
+  const auto& fs = dec.stats();
+  return fs.bad_magic + fs.oversized + fs.bad_payload;
+}
 
 void put_u32(std::string& out, std::uint32_t v) {
   out.push_back(static_cast<char>(v & 0xff));
@@ -112,6 +132,10 @@ void Mesh::start() {
     Node& n = *np;
     n.epoll = Fd(::epoll_create1(EPOLL_CLOEXEC));
     RR_ASSERT_MSG(n.epoll.valid(), "net backend: epoll_create1 failed");
+    const timespec zero{};
+    epoll_event probe{};
+    RR_ASSERT_MSG(::epoll_pwait2(n.epoll.get(), &probe, 1, &zero, nullptr) >= 0,
+                  "net backend: epoll_pwait2 failed (needs Linux 5.11+)");
     n.wake = Fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
     RR_ASSERT_MSG(n.wake.valid(), "net backend: eventfd failed");
     n.listener = listen_loopback(n.port);
@@ -480,6 +504,8 @@ void Mesh::deliver_fn_step(Node& n, net::PostFn fn) {
 
 void Mesh::wake(Node& n) {
   if (!n.wake.valid()) return;  // pre-start: the first loop pass drains
+  if (t_loop_node == &n) return;  // own step: the loop re-checks before waiting
+  n.eventfd_wakes.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t r =
       ::write(n.wake.get(), &one, sizeof(one));
@@ -514,18 +540,25 @@ Time Mesh::next_deadline(Node& n) {
 }
 
 void Mesh::node_main(Node& n) {
+  t_loop_node = &n;
+  // A timed wait may otherwise expire up to this thread's timer slack
+  // (50 us by default) past its deadline.
+  ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
   while (!stopping_.load(std::memory_order_relaxed)) {
+    // Sleep exactly until the next deadline (to the nanosecond: a timer,
+    // reorder deferral or backoff fires on time), at most kIdleWaitNs.
     const Time deadline = next_deadline(n);
-    int timeout_ms = 100;
+    Time wait = kIdleWaitNs;
     if (deadline != kNoDeadline) {
       const Time t = now();
-      timeout_ms = deadline <= t
-                       ? 0
-                       : static_cast<int>(std::min<Time>(
-                             100, (deadline - t + 999'999) / 1'000'000));
+      wait = deadline <= t ? 0 : std::min(wait, deadline - t);
     }
+    timespec timeout{};
+    timeout.tv_sec = static_cast<time_t>(wait / 1'000'000'000);
+    timeout.tv_nsec = static_cast<long>(wait % 1'000'000'000);
     epoll_event evs[64];
-    const int k = ::epoll_wait(n.epoll.get(), evs, 64, timeout_ms);
+    bump(n.epoll_waits);
+    const int k = ::epoll_pwait2(n.epoll.get(), evs, 64, &timeout, nullptr);
     if (stopping_.load(std::memory_order_relaxed)) return;
     if (k < 0) {
       if (errno == EINTR) continue;
@@ -557,7 +590,7 @@ void Mesh::handle_event(Node& n, int fd, std::uint32_t events) {
   }
   if (n.pending.count(fd) != 0) {
     if ((events & (EPOLLHUP | EPOLLERR)) != 0) {
-      n.handshake_failures++;
+      bump(n.handshake_failures);
       epoll_del(n, fd);
       n.pending.erase(fd);
       return;
@@ -589,6 +622,7 @@ void Mesh::handshake_readable(Node& n, int fd) {
   PendingConn& pc = it->second;
   char buf[kHelloBytes];
   while (pc.hello.size() < kHelloBytes) {
+    bump(n.socket_reads);
     const ssize_t r = ::read(fd, buf, kHelloBytes - pc.hello.size());
     if (r > 0) {
       pc.hello.append(buf, static_cast<std::size_t>(r));
@@ -597,7 +631,7 @@ void Mesh::handshake_readable(Node& n, int fd) {
     if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
     if (r < 0 && errno == EINTR) continue;
     // EOF or a hard error before the hello completed.
-    n.handshake_failures++;
+    bump(n.handshake_failures);
     epoll_del(n, fd);
     n.pending.erase(it);
     return;
@@ -611,7 +645,7 @@ void Mesh::handshake_readable(Node& n, int fd) {
       static_cast<ProcessId>(pid32) == n.pid) {
     // A peer that can't even say hello correctly is hostile or broken:
     // count and close, never trust.
-    n.handshake_failures++;
+    bump(n.handshake_failures);
     epoll_del(n, fd);
     return;
   }
@@ -627,7 +661,7 @@ void Mesh::handshake_readable(Node& n, int fd) {
   p.partial_since = 0;
   p.dec.reset();
   p.out_head = p.out_frame_start;  // resend the partially-written frame
-  n.connects++;
+  bump(n.connects);
   p.want_write = p.out_head < p.out.size();
   epoll_mod(n, raw, EPOLLIN | (p.want_write ? EPOLLOUT : 0u));
   if (p.want_write) flush_peer(n, peer);
@@ -670,7 +704,7 @@ void Mesh::on_connected(Node& n, ProcessId peer) {
   p.partial_since = 0;
   p.dec.reset();
   p.out_head = p.out_frame_start;  // resend the partially-written frame
-  n.connects++;
+  bump(n.connects);
   std::string hello;
   put_u32(hello, kHelloMagic);
   put_u32(hello, static_cast<std::uint32_t>(n.pid));
@@ -687,9 +721,15 @@ void Mesh::read_peer(Node& n, ProcessId peer) {
     receive_frame(n, peer, std::move(m));
   };
   for (;;) {
+    bump(n.socket_reads);
     const ssize_t r = ::read(p.fd.get(), buf, sizeof(buf));
     if (r > 0) {
-      if (!p.dec.feed(buf, static_cast<std::size_t>(r), sink)) {
+      const std::uint64_t corrupt0 = corrupt_count(p.dec);
+      const bool intact = p.dec.feed(buf, static_cast<std::size_t>(r), sink);
+      // Mirror the decoder's counts, so transport() never reads a decoder.
+      const std::uint64_t corrupt1 = corrupt_count(p.dec);
+      if (corrupt1 != corrupt0) bump(n.corrupt_frames, corrupt1 - corrupt0);
+      if (!intact) {
         // Poisoned stream (bad magic / oversized length): framing is lost,
         // the decoder counted it; drop the connection and let the
         // initiator end re-establish it with a fresh decoder.
@@ -718,6 +758,7 @@ void Mesh::flush_peer(Node& n, ProcessId peer) {
   Peer& p = n.peers[static_cast<std::size_t>(peer)];
   if (!p.fd.valid() || p.connecting || !p.ready) return;
   while (!p.hello_out.empty()) {
+    bump(n.socket_writes);
     const ssize_t w =
         ::write(p.fd.get(), p.hello_out.data(), p.hello_out.size());
     if (w > 0) {
@@ -733,6 +774,7 @@ void Mesh::flush_peer(Node& n, ProcessId peer) {
     return;
   }
   while (p.out_head < p.out.size()) {
+    bump(n.socket_writes);
     const ssize_t w = ::write(p.fd.get(), p.out.data() + p.out_head,
                               p.out.size() - p.out_head);
     if (w > 0) {
@@ -794,7 +836,7 @@ void Mesh::drop_conn(Node& n, ProcessId peer, bool reconnect_now) {
 
 void Mesh::attempt_connect(Node& n, ProcessId peer) {
   Peer& p = n.peers[static_cast<std::size_t>(peer)];
-  n.connect_attempts++;
+  bump(n.connect_attempts);
   bool in_progress = false;
   Fd fd = connect_loopback(node(peer).port, in_progress);
   if (!fd.valid()) {
@@ -832,13 +874,13 @@ void Mesh::service_timeouts(Node& n) {
     if (p.ready && p.partial_since != 0 &&
         t - p.partial_since > frame_timeout_ns_) {
       // A peer silent mid-frame past the deadline is a truncating peer.
-      n.partial_timeouts++;
+      bump(n.partial_timeouts);
       drop_conn(n, q, true);
     }
   }
   for (auto it = n.pending.begin(); it != n.pending.end();) {
     if (t - it->second.since > frame_timeout_ns_) {
-      n.handshake_failures++;
+      bump(n.handshake_failures);
       epoll_del(n, it->first);
       it = n.pending.erase(it);
     } else {
@@ -913,15 +955,20 @@ net::NetStats Mesh::stats() const {
 
 TransportStats Mesh::transport() const {
   TransportStats t;
+  const auto get = [](const std::atomic<std::uint64_t>& c) {
+    return c.load(std::memory_order_relaxed);
+  };
   for (const auto& np : nodes_) {
-    t.connects += np->connects;
-    t.connect_attempts += np->connect_attempts;
-    t.partial_timeouts += np->partial_timeouts;
-    t.handshake_failures += np->handshake_failures;
-    for (const auto& p : np->peers) {
-      const auto& fs = p.dec.stats();
-      t.corrupt_frames += fs.bad_magic + fs.oversized + fs.bad_payload;
-    }
+    const Node& n = *np;
+    t.connects += get(n.connects);
+    t.connect_attempts += get(n.connect_attempts);
+    t.corrupt_frames += get(n.corrupt_frames);
+    t.partial_timeouts += get(n.partial_timeouts);
+    t.handshake_failures += get(n.handshake_failures);
+    t.epoll_waits += get(n.epoll_waits);
+    t.socket_writes += get(n.socket_writes);
+    t.socket_reads += get(n.socket_reads);
+    t.eventfd_wakes += get(n.eventfd_wakes);
   }
   return t;
 }

@@ -75,13 +75,19 @@ struct MeshOptions {
   BackoffPolicy backoff{};
 };
 
-/// Transport robustness counters (exact after the mesh has quiesced).
+/// Transport robustness and syscall counters (exact after the mesh has
+/// quiesced; safe to read at any time). With NetStats::bytes_sent the
+/// syscall counters give syscalls per frame and bytes per write.
 struct TransportStats {
   std::uint64_t connects{0};           ///< completed hello handshakes
   std::uint64_t connect_attempts{0};   ///< connect() initiations
   std::uint64_t corrupt_frames{0};     ///< bad magic/oversized/bad payload
   std::uint64_t partial_timeouts{0};   ///< frame stuck mid-read past deadline
   std::uint64_t handshake_failures{0};
+  std::uint64_t epoll_waits{0};    ///< node-loop epoll_pwait2 calls
+  std::uint64_t socket_writes{0};  ///< write() calls on connection sockets
+  std::uint64_t socket_reads{0};   ///< read() calls on connection sockets
+  std::uint64_t eventfd_wakes{0};  ///< eventfd writes waking a node loop
 };
 
 class Mesh {
@@ -202,11 +208,17 @@ class Mesh {
     std::vector<TimedItem> heap;
     std::uint64_t seq{0};
 
-    // Owner-thread transport counters.
-    std::uint64_t connects{0};
-    std::uint64_t connect_attempts{0};
-    std::uint64_t partial_timeouts{0};
-    std::uint64_t handshake_failures{0};
+    // Transport counters, read by transport() from any thread. All but
+    // eventfd_wakes are written only by this node's thread (see bump()).
+    std::atomic<std::uint64_t> connects{0};
+    std::atomic<std::uint64_t> connect_attempts{0};
+    std::atomic<std::uint64_t> corrupt_frames{0};
+    std::atomic<std::uint64_t> partial_timeouts{0};
+    std::atomic<std::uint64_t> handshake_failures{0};
+    std::atomic<std::uint64_t> epoll_waits{0};
+    std::atomic<std::uint64_t> socket_writes{0};
+    std::atomic<std::uint64_t> socket_reads{0};
+    std::atomic<std::uint64_t> eventfd_wakes{0};  ///< by any posting thread
 
     std::thread thread;
   };
@@ -232,6 +244,7 @@ class Mesh {
 
   // Node event loop.
   void node_main(Node& n);
+  /// Writes n's eventfd, unless the caller is n's own loop thread.
   void wake(Node& n);
   Time next_deadline(Node& n);
   void handle_event(Node& n, int fd, std::uint32_t events);

@@ -10,9 +10,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 
 #include "adversary/capture.hpp"
 #include "core/regular_reader.hpp"
@@ -21,24 +19,7 @@
 #include "objects/regular_object.hpp"
 #include "sim/delay.hpp"
 #include "sim/world.hpp"
-
-// Global allocation counter for the steady-state write-path test below
-// (same pattern as test_world_pool.cpp): every heap allocation in this
-// binary bumps the counter, so a measured window can assert zero.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/counting_alloc.hpp"
 
 namespace rr {
 namespace {
@@ -351,9 +332,9 @@ TEST(HistoryGc, SteadyStateWritePathIsAllocationFree) {
   ASSERT_EQ(obj_raw->state().ts, 300u);
   burst(w.now() + 100, 301, 200);
   ASSERT_TRUE(w.step());  // execute the posting closure (sends reuse slots)
-  const std::uint64_t before = g_heap_allocs.load();
+  const std::uint64_t before = test::heap_allocs.load();
   w.run();
-  const std::uint64_t allocs = g_heap_allocs.load() - before;
+  const std::uint64_t allocs = test::heap_allocs.load() - before;
   EXPECT_EQ(allocs, 0u)
       << "steady-state PW/W handling and acks must not allocate";
   EXPECT_EQ(obj_raw->state().ts, 500u);
@@ -377,10 +358,10 @@ TEST(HistoryRing, BelowFrontInsertReusesTheDeadPrefix) {
   const wire::HistEntry slot3{TsVal{3, "v"},
                               WTuple{TsVal{3, "v"}, init_tsrarray(4)}};
 
-  const std::uint64_t before = g_heap_allocs.load();
+  const std::uint64_t before = test::heap_allocs.load();
   h.merge_slot(3, slot3);  // below the front: 3 5 6 7
   h.merge_slot(0, slot0);  // below the new front: 0 3 5 6 7
-  EXPECT_EQ(g_heap_allocs.load() - before, 0u)
+  EXPECT_EQ(test::heap_allocs.load() - before, 0u)
       << "a below-front insert must reuse the dead prefix and its payloads";
 
   Ts keys[8] = {};
@@ -404,7 +385,7 @@ TEST(HistoryRing, BelowFrontInsertReusesTheDeadPrefix) {
     h.erase(h.begin(), h.lower_bound(5));
     h.merge_slot(0, slot0);
   }
-  EXPECT_EQ(g_heap_allocs.load() - before, 0u);
+  EXPECT_EQ(test::heap_allocs.load() - before, 0u);
   EXPECT_EQ(h.size(), 4u);
   EXPECT_EQ(h.begin()->first, 0u);
 }
@@ -437,9 +418,9 @@ class StaggerReads {
     std::vector<std::vector<Ack>> scripts;
     scripts.reserve(count);
     for (Ts k = next_; k < next_ + count; ++k) scripts.push_back(script(k));
-    const std::uint64_t before = g_heap_allocs.load();
+    const std::uint64_t before = test::heap_allocs.load();
     for (const auto& acks : scripts) {
-      const std::uint64_t at = g_heap_allocs.load();
+      const std::uint64_t at = test::heap_allocs.load();
       returned_ = 0;
       reader_.read(null_, [this](const core::ReadResult& r) {
         returned_ = r.tsval.ts;
@@ -449,11 +430,11 @@ class StaggerReads {
       }
       if (returned_ != next_) ++wrong_;
       ++next_;
-      if (allocating_reads != nullptr && g_heap_allocs.load() != at) {
+      if (allocating_reads != nullptr && test::heap_allocs.load() != at) {
         ++*allocating_reads;
       }
     }
-    return g_heap_allocs.load() - before;
+    return test::heap_allocs.load() - before;
   }
 
   [[nodiscard]] std::size_t forged() const {

@@ -5,31 +5,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <thread>
 #include <vector>
 
 #include "harness/deployment.hpp"
 #include "harness/latency.hpp"
 #include "harness/workload.hpp"
-
-// Global allocation counter: replaced operator new lets the recording test
-// below assert that record() performs zero heap allocations.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/counting_alloc.hpp"
 
 namespace rr::harness {
 namespace {
@@ -128,14 +110,14 @@ TEST(LatencyRecorderTest, MergeFoldsCountsAndExtremes) {
 
 TEST(LatencyRecorderTest, RecordingIsAllocationFree) {
   Recorder r;
-  const std::uint64_t before = g_heap_allocs.load();
+  const std::uint64_t before = test::heap_allocs.load();
   for (Time v = 0; v < 200'000; ++v) r.record(v * 977 + 13);
   (void)r.p50();
   (void)r.p95();
   (void)r.p99();
   (void)r.max();
   (void)r.mean();
-  const std::uint64_t allocs = g_heap_allocs.load() - before;
+  const std::uint64_t allocs = test::heap_allocs.load() - before;
   EXPECT_EQ(allocs, 0u)
       << "record() and the quantile readers must never allocate";
   EXPECT_EQ(r.count(), 200'000u);

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -274,6 +275,61 @@ TEST(MeshTest, PingPongQuiescesWithExactAccounting) {
   EXPECT_GE(t.connects, 1u);
   EXPECT_EQ(t.corrupt_frames, 0u);
   EXPECT_EQ(t.partial_timeouts, 0u);
+  EXPECT_GT(t.epoll_waits, 0u);
+  EXPECT_GT(t.socket_writes, 0u);
+  EXPECT_GT(t.socket_reads, 0u);
+  EXPECT_GE(t.eventfd_wakes, 1u) << "the posts came from a foreign thread";
+}
+
+/// A step of its node that posts itself again `left - 1` more times, each
+/// `gap` after the step ran, recording how late each step ran.
+struct SelfRepost {
+  netio::Mesh* mesh;
+  std::vector<Time>* late;
+  int left;
+  Time gap;
+  Time at;
+  void operator()(net::Context& ctx) const {
+    late->push_back(ctx.now() - at);
+    if (left <= 1) return;
+    const Time next = ctx.now() + gap;
+    mesh->post(next, ctx.self(), SelfRepost{mesh, late, left - 1, gap, next});
+  }
+};
+
+TEST(MeshTest, TimersFireAtTheirDeadlineNotTheNextMillisecond) {
+  netio::MeshOptions opts;
+  opts.seed = 13;
+  EchoMesh m(opts);
+  std::vector<Time> late;
+  constexpr Time kGap = 250'000;  // 250 us
+  const Time at = m.mesh.now() + kGap;
+  m.mesh.post(at, 0, SelfRepost{&m.mesh, &late, 200, kGap, at});
+  ASSERT_TRUE(m.mesh.run_quiescent(std::chrono::milliseconds(10'000)));
+  ASSERT_EQ(late.size(), 200u);
+  std::sort(late.begin(), late.end());
+  // A wait rounded up to whole milliseconds runs a 250 us timer at least
+  // 750 us late; a wait to the deadline runs it within the wake-up latency.
+  EXPECT_LT(late[late.size() / 2], 400'000u)
+      << "median lateness " << late[late.size() / 2] << " ns";
+}
+
+TEST(MeshTest, SelfPostsSkipTheEventfdWake) {
+  netio::MeshOptions opts;
+  opts.seed = 14;
+  EchoMesh m(opts);
+  std::vector<Time> late;
+  const auto w0 = m.mesh.transport().eventfd_wakes;
+  // One post from this (foreign) thread starts a chain of 100 steps, each
+  // posted by the one before it on node 0's own thread.
+  m.mesh.post(0, 0, SelfRepost{&m.mesh, &late, 101, 0, 0});
+  ASSERT_TRUE(m.mesh.run_quiescent(std::chrono::milliseconds(10'000)));
+  ASSERT_EQ(late.size(), 101u);
+  const auto w1 = m.mesh.transport().eventfd_wakes;
+  EXPECT_EQ(w1 - w0, 1u) << "only the foreign post wakes node 0";
+  m.mesh.post(0, 1, [](net::Context&) {});
+  ASSERT_TRUE(m.mesh.run_quiescent(std::chrono::milliseconds(10'000)));
+  EXPECT_GE(m.mesh.transport().eventfd_wakes - w1, 1u);
 }
 
 TEST(MeshTest, HoldBuffersInTransitAndReleaseRedeliversFifo) {
